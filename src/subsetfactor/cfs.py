@@ -5,10 +5,8 @@ classification of groups in which every Lagrange subset is a factor.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Iterator
@@ -146,63 +144,27 @@ def decide_strong_cfs(
 
     The proper divisors are scanned in increasing order and the witness, if
     any, is the first canonical representative classifying as a non-factor.
-    The verdict and witness are independent of the thread count.
+    ``subsets_examined`` is the number of classify calls made; ``budget``
+    (>= 0) bounds it, and BudgetExceededError is raised when a further call
+    would be needed.  ``threads`` is accepted for compatibility and has no
+    effect: the scan is sequential.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     name = group_name or group.name
-    n = group.order
     examined = 0
     checked: list[int] = []
-    witness: Subset | None = None
-
-    def classify_batch(batch: list[Subset]) -> Subset | None:
-        for s in batch:
-            if classify_factor(group, s).classification == CLASS_NONE:
-                return s
-        return None
-
-    for d in _divisors(n):
-        if d in (1, n):
-            continue  # always factors: {1} and G itself
+    for d in _divisors(group.order)[1:-1]:  # {1} and G itself are always factors
         checked.append(d)
-        reps = enumerate_lagrange_subsets(group, d, canon_level)
-        while True:
-            chunk_size = 64 * max(1, threads)
-            chunk = list(itertools.islice(reps, chunk_size))
-            if not chunk:
-                break
-            if examined + len(chunk) > budget:
-                allowed = budget - examined
-                examined += allowed
-                witness = classify_batch(chunk[:allowed]) if allowed else None
-                if witness is not None:
-                    break
+        for s in enumerate_lagrange_subsets(group, d, canon_level):
+            if examined == budget:
                 raise BudgetExceededError(
                     StrongCfsReport(name, None, None, tuple(checked), examined, canon_level)
                 )
-            examined += len(chunk)
-            if threads > 1:
-                parts = [chunk[i::threads] for i in range(threads)]
-                # workers see interleaved slices; determinism restored by
-                # taking the least mask among returned witnesses
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    hits = [w for w in pool.map(classify_batch, parts) if w is not None]
-                if hits:
-                    witness = min(hits, key=lambda s: s.mask)
-            else:
-                witness = classify_batch(chunk)
-            if witness is not None:
-                break
-        if witness is not None:
-            break
-
-    return StrongCfsReport(
-        group=name,
-        holds=witness is None,
-        witness=witness,
-        divisors_checked=tuple(checked),
-        subsets_examined=examined,
-        canon_level=canon_level,
-    )
+            examined += 1
+            if classify_factor(group, s).classification == CLASS_NONE:
+                return StrongCfsReport(name, False, s, tuple(checked), examined, canon_level)
+    return StrongCfsReport(name, True, None, tuple(checked), examined, canon_level)
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +207,14 @@ def decide_cfs(group: Group, order_cap: int = DEFAULT_CFS_ORDER_CAP, group_name:
                 y = Subset(n, left_transversal(group, k).reps_mask)   # G = Y . K
                 entry = DivisorFactors(y, ks, x, ks, "transversal")
             else:
-                left_pair = right_pair = None
                 for s in enumerate_lagrange_subsets(group, d, "L1"):
-                    if left_pair is None:
-                        b = find_left_complement(group, s)
-                        if b is not None:
-                            left_pair = (s, b)
-                            # inversion duality gives the right factor
-                            right_pair = (invert_set(group, s), invert_set(group, b))
-                            break
-                if left_pair is not None and right_pair is not None:
-                    entry = DivisorFactors(
-                        left_pair[0], left_pair[1], right_pair[0], right_pair[1], "search"
-                    )
+                    b = find_left_complement(group, s)
+                    if b is not None:
+                        # inversion duality gives the right factor
+                        entry = DivisorFactors(
+                            s, b, invert_set(group, s), invert_set(group, b), "search"
+                        )
+                        break
         if entry is None:
             return CfsReport(group_name or group.name, False, per, failed_divisor=d)
         assert verify_direct_factorization(group, entry.left_factor, entry.left_complement)

@@ -37,10 +37,6 @@ def _default_budget() -> int:
     return cfs_mod.DEFAULT_BUDGET
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _emit(args: argparse.Namespace, envelope: dict[str, Any], human: list[str]) -> None:
     if args.json:
         print(json.dumps(envelope, indent=1, sort_keys=False))
@@ -170,9 +166,7 @@ def _cmd_strong_cfs(args: argparse.Namespace) -> int:
     g = _load_group(args)
     budget = args.budget if args.budget is not None else _default_budget()
     try:
-        rep = cfs_mod.decide_strong_cfs(
-            g, canon_level=args.canon, budget=budget, threads=args.threads, group_name=args.group
-        )
+        rep = cfs_mod.decide_strong_cfs(g, canon_level=args.canon, budget=budget, group_name=args.group)
     except cfs_mod.BudgetExceededError as exc:
         env = notation.report_envelope(
             "strong-cfs",
@@ -441,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("strong-cfs", _cmd_strong_cfs, "decide whether every Lagrange subset is a factor")
     _add_group_arg(p)
     p.add_argument("--canon", choices=["L1", "L2", "L3"], default="L1")
-    p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--budget", type=int, default=None, help="max classify calls (default 10^8)")
+    p.add_argument("--budget", type=int, default=None, help="max classify calls, >= 0 (default 10^8)")
 
     p = cmd("cfs", _cmd_cfs, "exhibit factorizations for every divisor of the order")
     _add_group_arg(p)

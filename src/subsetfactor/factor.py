@@ -11,7 +11,7 @@ checkable non-factor certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .groups import Group, Subgroup, Transversal, bits, generated_subgroup, subgroup_as_group
 from .subsets import Subset, invert_set, verify_direct_factorization
@@ -49,30 +49,31 @@ class FactorReport:
 # Exact cover over translates
 
 
-def _tiles(group: Group, amask: int, side: str) -> list[tuple[int, int]]:
-    """Deduplicated candidate tiles (mask, least label b): Ab for the left
-    search, bA for the right search."""
+def _translates(group: Group, amask: int, side: str) -> Iterator[int]:
+    """The translates that tile G when A is a factor on ``side``: Ag for a
+    left factor (G = A . B), gA for a right factor, for g = 0, 1, ..."""
+    return group.translates(amask, "right" if side == "left" else "left")
+
+
+def _tiles(masks: Iterable[int]) -> list[tuple[int, int]]:
+    """Deduplicated tiles (mask, least label b) from the masks of labels
+    b = 0, 1, ..., in ascending label order."""
     seen: dict[int, int] = {}
-    for b in range(group.order):
-        m = (
-            group.right_translate_mask(amask, b)
-            if side == "left"
-            else group.left_translate_mask(b, amask)
-        )
-        if m not in seen:
-            seen[m] = b
-    return [(m, b) for m, b in seen.items()]
+    for b, m in enumerate(masks):
+        seen.setdefault(m, b)
+    return list(seen.items())
 
 
-def _cover_search(n: int, tiles: list[tuple[int, int]], all_solutions: bool) -> list[int]:
-    """Exact covers of 0..n-1 by the given tiles.
+def _cover_search(ncells: int, tiles: list[tuple[int, int]], all_solutions: bool) -> list[int]:
+    """Exact covers of cells 0..ncells-1 by tiles given in ascending label
+    order, branching on the least uncovered cell.
 
     Returns complement masks (OR of chosen labels' bits); just the first
     found unless ``all_solutions``.
     """
-    full = (1 << n) - 1
-    by_cell: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for m, b in sorted(tiles, key=lambda t: t[1]):
+    full = (1 << ncells) - 1
+    by_cell: list[list[tuple[int, int]]] = [[] for _ in range(ncells)]
+    for m, b in tiles:
         for c in bits(m):
             by_cell[c].append((m, b))
 
@@ -97,22 +98,19 @@ def _cover_search(n: int, tiles: list[tuple[int, int]], all_solutions: bool) -> 
     return solutions
 
 
-def _complement_mask(group: Group, amask: int, side: str, all_solutions: bool = False) -> int | None:
+def _complement_mask(group: Group, amask: int, side: str) -> int | None:
     k = amask.bit_count()
     if k == 0:
         raise ValueError("complement search requires a nonempty subset")
     if group.order % k:
         return None
-    sols = _cover_search(group.order, _tiles(group, amask, side), all_solutions)
-    if not sols:
-        return None
-    return min(sols) if all_solutions else sols[0]
+    sols = _cover_search(group.order, _tiles(_translates(group, amask, side)), False)
+    return sols[0] if sols else None
 
 
-def find_left_complement(group: Group, a: Subset, all_complements: bool = False) -> Subset | None:
-    """B with G = A . B, or None.  With ``all_complements`` the search is
-    exhausted and the least complement mask is returned."""
-    m = _complement_mask(group, a.mask, "left", all_complements)
+def find_left_complement(group: Group, a: Subset) -> Subset | None:
+    """B with G = A . B, or None."""
+    m = _complement_mask(group, a.mask, "left")
     if m is None:
         return None
     b = Subset(group.order, m)
@@ -120,9 +118,9 @@ def find_left_complement(group: Group, a: Subset, all_complements: bool = False)
     return b
 
 
-def find_right_complement(group: Group, a: Subset, all_complements: bool = False) -> Subset | None:
+def find_right_complement(group: Group, a: Subset) -> Subset | None:
     """B with G = B . A, or None."""
-    m = _complement_mask(group, a.mask, "right", all_complements)
+    m = _complement_mask(group, a.mask, "right")
     if m is None:
         return None
     b = Subset(group.order, m)
@@ -134,7 +132,9 @@ def enumerate_complements(group: Group, a: Subset, side: str = "left") -> list[S
     """All complements on the given side, sorted by mask."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    sols = _cover_search(group.order, _tiles(group, a.mask, side), True) if group.order % len(a) == 0 else []
+    if group.order % len(a):
+        return []
+    sols = _cover_search(group.order, _tiles(_translates(group, a.mask, side)), True)
     return [Subset(group.order, m) for m in sorted(sols)]
 
 
@@ -159,12 +159,7 @@ def index2_criterion(group: Group, a: Subset, side: str) -> int | None:
     if 2 * len(a) != n:
         raise ValueError("index2_criterion requires |A| = |G|/2")
     want = group.full_mask ^ a.mask
-    for g in range(n):
-        m = (
-            group.right_translate_mask(a.mask, g)
-            if side == "left"
-            else group.left_translate_mask(g, a.mask)
-        )
+    for g, m in enumerate(_translates(group, a.mask, side)):
         if m == want:
             return g
     return None
@@ -177,12 +172,7 @@ def hole_criterion(group: Group, a: Subset, side: str) -> int | None:
     ident = 1 << group.identity
     if a.mask & ident:
         raise ValueError("hole_criterion requires the identity to be outside A")
-    for g in range(group.order):
-        m = (
-            group.right_translate_mask(a.mask, g)
-            if side == "left"
-            else group.left_translate_mask(g, a.mask)
-        )
+    for g, m in enumerate(_translates(group, a.mask, side)):
         if m & ident and not m & a.mask:
             return g
     return None
@@ -191,12 +181,7 @@ def hole_criterion(group: Group, a: Subset, side: str) -> int | None:
 def all_translates_meet(group: Group, a: Subset) -> bool:
     """True iff A meets every translate Ag and gA.  Together with
     1 not in A this proves A is not a factor on either side."""
-    for g in range(group.order):
-        if not a.mask & group.right_translate_mask(a.mask, g):
-            return False
-        if not a.mask & group.left_translate_mask(g, a.mask):
-            return False
-    return True
+    return all(a.mask & m for side in ("right", "left") for m in group.translates(a.mask, side))
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +203,6 @@ def classify_factor(group: Group, a: Subset) -> FactorReport:
                 "lagrange_obstruction",
                 {"generated_order": obstruction.order, "size": k},
             ),
-        )
-    if n % k:
-        # |A| divides |<A>| but not |G| cannot happen (Lagrange); guard anyway.
-        return FactorReport(
-            CLASS_NONE,
-            evidence=NonFactorEvidence("lagrange_obstruction", {"generated_order": n, "size": k}),
         )
 
     left_known_absent = False
@@ -286,40 +265,21 @@ def classify_factor(group: Group, a: Subset) -> FactorReport:
 
 
 def find_same_complement(group: Group, a: Subset) -> Subset | None:
-    """B with G = A . B = B . A simultaneously, or None."""
+    """B with G = A . B = B . A simultaneously, or None.
+
+    One exact cover over 2n cells: tile b covers Ab in cells 0..n-1 and bA
+    in cells n..2n-1.
+    """
     if not a:
         raise ValueError("find_same_complement requires a nonempty subset")
     n = group.order
     if n % len(a):
         return None
-    full = group.full_mask
-    amask = a.mask
-    left_tile = [group.right_translate_mask(amask, b) for b in range(n)]   # Ab
-    right_tile = [group.left_translate_mask(b, amask) for b in range(n)]   # bA
-    by_cell: list[list[int]] = [[] for _ in range(n)]
-    for b in range(n):
-        for c in bits(left_tile[b]):
-            by_cell[c].append(b)
-
-    chosen: list[int] = []
-
-    def rec(cov_l: int, cov_r: int) -> bool:
-        if cov_l == full:
-            return cov_r == full
-        free = ~cov_l & full
-        cell = (free & -free).bit_length() - 1
-        for b in by_cell[cell]:
-            lt, rt = left_tile[b], right_tile[b]
-            if not lt & cov_l and not rt & cov_r:
-                chosen.append(b)
-                if rec(cov_l | lt, cov_r | rt):
-                    return True
-                chosen.pop()
-        return False
-
-    if not rec(0, 0):
+    pairs = zip(_translates(group, a.mask, "left"), _translates(group, a.mask, "right"))
+    sols = _cover_search(2 * n, _tiles(ab | ba << n for ab, ba in pairs), False)
+    if not sols:
         return None
-    b = Subset.from_indices(n, chosen)
+    b = Subset(n, sols[0])
     assert verify_direct_factorization(group, a, b)
     assert verify_direct_factorization(group, b, a)
     return b

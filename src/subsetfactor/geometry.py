@@ -110,31 +110,29 @@ def is_connected_subset(group: Group, gens: GeneratingSet, a: Subset) -> bool:
     return seen == a.mask
 
 
+def _tilde_holds(group: Group, a_tilde: Subset, sides: tuple[str, ...]) -> bool:
+    """For every translate T of A~ on the given sides: |A~ n T| > 2 or the
+    identity is outside A~ n T."""
+    ident = 1 << group.identity
+    mask = a_tilde.mask
+    if not mask & ident:
+        raise ValueError("tilde_condition requires the identity in the set")
+    for side in sides:
+        for t in group.translates(mask, side):
+            inter = mask & t
+            if inter & ident and inter.bit_count() <= 2:
+                return False
+    return True
+
+
 def tilde_condition(group: Group, a_tilde: Subset) -> bool:
     """For every g: |A~ n A~g| > 2 or the identity is outside A~ n A~g."""
-    ident = 1 << group.identity
-    if not a_tilde.mask & ident:
-        raise ValueError("tilde_condition requires the identity in the set")
-    for g in range(group.order):
-        inter = a_tilde.mask & group.right_translate_mask(a_tilde.mask, g)
-        if inter & ident and inter.bit_count() <= 2:
-            return False
-    return True
+    return _tilde_holds(group, a_tilde, ("right",))
 
 
 def tilde_condition_two_sided(group: Group, a_tilde: Subset) -> bool:
     """The tilde condition checked with both right and left translates."""
-    ident = 1 << group.identity
-    if not a_tilde.mask & ident:
-        raise ValueError("tilde_condition requires the identity in the set")
-    for g in range(group.order):
-        for inter in (
-            a_tilde.mask & group.right_translate_mask(a_tilde.mask, g),
-            a_tilde.mask & group.left_translate_mask(g, a_tilde.mask),
-        ):
-            if inter & ident and inter.bit_count() <= 2:
-                return False
-    return True
+    return _tilde_holds(group, a_tilde, ("right", "left"))
 
 
 def construct_tilde(group: Group, gens: GeneratingSet, d: int) -> Subset | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -19,8 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-ASSOCIATIVITY_FULL_CHECK_LIMIT = 512
-CLOSURE_SIZE_CAP = 20_000
+ASSOCIATIVITY_FULL_CHECK_LIMIT = 512  # largest order any group may have
 AUTOMORPHISM_ORDER_CAP = 64
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -122,6 +122,14 @@ class Group:
             out |= 1 << t[low.bit_length() - 1][g]
             mask ^= low
         return out
+
+    def translates(self, mask: int, side: str) -> Iterator[int]:
+        """gA (side='left') or Ag (side='right') for g = 0, 1, ..., lazily."""
+        if side == "left":
+            return (self.left_translate_mask(g, mask) for g in range(self.order))
+        if side == "right":
+            return (self.right_translate_mask(mask, g) for g in range(self.order))
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def invert_mask(self, mask: int) -> int:
         inv = self.inverse
@@ -257,28 +265,29 @@ def _np_table(table) -> np.ndarray:
     return arr
 
 
+def _check_order(n: int) -> None:
+    """Refuse a group of order n above ASSOCIATIVITY_FULL_CHECK_LIMIT; called
+    before a table of that order is built or validated."""
+    if n > ASSOCIATIVITY_FULL_CHECK_LIMIT:
+        raise GroupSpecError(
+            f"group order {n} exceeds the limit of {ASSOCIATIVITY_FULL_CHECK_LIMIT}"
+        )
+
+
 def _check_associativity(arr: np.ndarray) -> None:
+    """(i*j)*k vs i*(j*k) on every triple, chunked over i to bound memory."""
     n = arr.shape[0]
-    if n <= ASSOCIATIVITY_FULL_CHECK_LIMIT:
-        # (i*j)*k vs i*(j*k), chunked over i to bound memory.
-        jk = arr  # arr[j, k]
-        step = max(1, (1 << 24) // (n * n))
-        for start in range(0, n, step):
-            stop = min(n, start + step)
-            left = arr[arr[start:stop], :]          # [i, j, k] -> arr[arr[i,j], k]
-            right = arr[start:stop][:, jk]          # [i, j, k] -> arr[i, arr[j,k]]
-            if not np.array_equal(left, right):
-                bad = np.argwhere(left != right)[0]
-                i, j, k = int(bad[0]) + start, int(bad[1]), int(bad[2])
-                raise GroupValidationError(
-                    f"associativity fails at triple ({i}, {j}, {k})"
-                )
-    else:
-        rng = np.random.default_rng(0)
-        trips = rng.integers(0, n, size=(10 * n * n, 3))
-        i, j, k = trips[:, 0], trips[:, 1], trips[:, 2]
-        if not np.array_equal(arr[arr[i, j], k], arr[i, arr[j, k]]):
-            raise GroupValidationError("associativity fails on sampled triples")
+    step = max(1, (1 << 24) // (n * n))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        left = arr[arr[start:stop], :]          # [i, j, k] -> arr[arr[i,j], k]
+        right = arr[start:stop][:, arr]         # [i, j, k] -> arr[i, arr[j,k]]
+        if not np.array_equal(left, right):
+            bad = np.argwhere(left != right)[0]
+            i, j, k = int(bad[0]) + start, int(bad[1]), int(bad[2])
+            raise GroupValidationError(
+                f"associativity fails at triple ({i}, {j}, {k})"
+            )
 
 
 def validate_table(
@@ -289,8 +298,10 @@ def validate_table(
 ) -> Group:
     """Check the group axioms on an index table and wrap it as a Group.
 
-    Raises GroupValidationError naming the first violation found.
+    Raises GroupValidationError naming the first violation found, and
+    GroupSpecError for a table above the order limit.
     """
+    _check_order(len(table))
     arr = _np_table(table)
     n = arr.shape[0]
     rng_row = np.arange(n)
@@ -378,15 +389,12 @@ def cycles_string(perm: tuple[int, ...]) -> str:
     return "".join(out) if out else "1"
 
 
-def close_permutations(
-    generators: Sequence[Sequence[int]],
-    size_cap: int = CLOSURE_SIZE_CAP,
-    name: str | None = None,
-) -> Group:
+def close_permutations(generators: Sequence[Sequence[int]], name: str | None = None) -> Group:
     """Close a set of permutations under composition.
 
     Elements are enumerated by BFS from the identity, multiplying on the
-    right by the generators in the given order.
+    right by the generators in the given order.  The closure stops with
+    GroupSpecError once it outgrows the order limit.
     """
     gens = [tuple(g) for g in generators]
     if not gens:
@@ -406,8 +414,7 @@ def close_permutations(
         for g in gens:
             y = compose_perms(x, g)
             if y not in index:
-                if len(elems) >= size_cap:
-                    raise GroupSpecError(f"closure exceeds size cap {size_cap}")
+                _check_order(len(elems) + 1)
                 index[y] = len(elems)
                 elems.append(y)
 
@@ -458,8 +465,6 @@ def _semidirect(m: int, k: int, t: int, name: str) -> Group:
         raise GroupSpecError("semidirect parameters must be positive")
     t %= max(m, 1)
     if m > 1:
-        import math
-
         if math.gcd(t, m) != 1:
             raise GroupSpecError(f"t={t} not invertible mod {m}")
         if pow(t, k, m) != 1:
@@ -577,6 +582,7 @@ def _is_letter_named(g: Group) -> bool:
 def _direct_product(g1: Group, g2: Group, name: str | None = None) -> Group:
     n1, n2 = g1.order, g2.order
     n = n1 * n2
+    _check_order(n)
 
     def idx(i: int, j: int) -> int:
         return i * n2 + j
@@ -649,8 +655,40 @@ def save_group_file(group: Group, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
+def _spec_order(spec: GroupSpec) -> int | None:
+    """The order of the group ``spec`` describes, computed without building
+    it; None for file and permutation specs, whose order is known only from
+    their contents.  S<k> and A<k> for k > 20 are sized as at k = 20, which
+    is already far above any order a table can have, so that a huge k costs
+    no huge factorial."""
+    if isinstance(spec, Cyclic):
+        return spec.n
+    if isinstance(spec, DirectProduct):
+        left, right = _spec_order(spec.left), _spec_order(spec.right)
+        return None if left is None or right is None else left * right
+    if isinstance(spec, Dihedral):
+        return 2 * spec.m
+    if isinstance(spec, Quaternion8):
+        return 8
+    if isinstance(spec, (Symmetric, Alternating)):
+        full = math.factorial(min(max(spec.k, 1), 20))
+        return full if isinstance(spec, Symmetric) else max(full // 2, 1)
+    if isinstance(spec, SemidirectCyclic):
+        return spec.m * spec.k
+    if isinstance(spec, Heisenberg):
+        return spec.p**3
+    return None
+
+
 def build_group(spec: GroupSpec) -> Group:
-    """Construct and validate the group described by ``spec``."""
+    """Construct and validate the group described by ``spec``.  A group of
+    more than ASSOCIATIVITY_FULL_CHECK_LIMIT elements is refused with
+    GroupSpecError before its table is built."""
+    order = _spec_order(spec)
+    if order is not None and order > ASSOCIATIVITY_FULL_CHECK_LIMIT:
+        raise GroupSpecError(
+            f"{spec_string(spec)} has more than {ASSOCIATIVITY_FULL_CHECK_LIMIT} elements"
+        )
     if isinstance(spec, Cyclic):
         return _cyclic(spec.n)
     if isinstance(spec, DirectProduct):
@@ -722,19 +760,13 @@ def subgroup_from_mask(group: Group, mask: int) -> Subgroup:
 def transversal(group: Group, subgroup: Subgroup, side: str = "right") -> Transversal:
     """Deterministic coset transversal: scan element indices, keep the first
     representative of each uncovered coset."""
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     covered = 0
     reps = 0
-    h = subgroup.mask
-    for x in range(group.order):
-        if covered & (1 << x):
-            continue
-        reps |= 1 << x
-        if side == "right":
-            covered |= group.right_translate_mask(h, x)
-        else:
-            covered |= group.left_translate_mask(x, h)
+    # the right coset of x is Hx, the right translate of H
+    for x, coset in enumerate(group.translates(subgroup.mask, side)):
+        if not covered >> x & 1:
+            reps |= 1 << x
+            covered |= coset
     return Transversal(group, subgroup, reps, side)
 
 

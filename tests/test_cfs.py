@@ -83,16 +83,52 @@ def test_strong_cfs_s3_fails_with_verified_witness():
     assert classify_factor(g, rep.witness).classification == "none"
 
 
-def test_strong_cfs_threads_do_not_change_verdict_or_witness():
+def first_nonfactor_representative(g):
+    """Oracle: the first L1 representative, divisors ascending and masks
+    ascending, that classifies as a non-factor."""
+    for d in range(2, g.order):
+        if g.order % d:
+            continue
+        others = [i for i in range(g.order) if i != g.identity]
+        masks = sorted(
+            Subset.from_indices(g.order, (g.identity, *combo)).mask
+            for combo in itertools.combinations(others, d - 1)
+        )
+        for m in masks:
+            s = Subset(g.order, m)
+            is_rep = canonical_form(g, s, "L1").mask == m
+            if is_rep and classify_factor(g, s).classification == "none":
+                return s
+    return None
+
+
+def test_strong_cfs_witness_is_first_nonfactor_representative():
     for spec in ("C6", "C8", "D4", "C3xC3"):
         g = group_from_string(spec)
-        base = decide_strong_cfs(g, threads=1)
-        for th in (2, 4):
-            rep = decide_strong_cfs(g, threads=th)
-            assert rep.holds == base.holds
-            assert (rep.witness is None) == (base.witness is None)
-            if base.witness is not None:
-                assert rep.witness.mask == base.witness.mask
+        rep = decide_strong_cfs(g)
+        expected = first_nonfactor_representative(g)
+        assert rep.holds == (expected is None), spec
+        assert rep.witness == expected, spec
+
+
+@pytest.mark.parametrize("spec", ["C4xC4", "C3xC3"])
+def test_strong_cfs_counts_classify_calls(spec, monkeypatch):
+    import subsetfactor.cfs as cfs
+
+    calls = []
+
+    def counting(group, a):
+        calls.append(a.mask)
+        return classify_factor(group, a)
+
+    monkeypatch.setattr(cfs, "classify_factor", counting)
+    rep = decide_strong_cfs(group_from_string(spec))
+    assert rep.subsets_examined == len(calls)
+
+
+def test_strong_cfs_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        decide_strong_cfs(group_from_string("C8"), budget=-1)
 
 
 def test_strong_cfs_budget_exceeded_carries_partial():
@@ -100,7 +136,7 @@ def test_strong_cfs_budget_exceeded_carries_partial():
         decide_strong_cfs(group_from_string("C2xC2xC2"), budget=2)
     partial = exc.value.partial
     assert partial.holds is None
-    assert partial.subsets_examined <= 2
+    assert partial.subsets_examined == 2
 
 
 def test_strong_cfs_canon_levels_agree():

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from subsetfactor import groups
 from subsetfactor.cli import main
 
 
@@ -69,8 +71,55 @@ def test_budget_env_variable(capsys, monkeypatch):
     assert code == 3
 
 
+def test_budget_zero_exit_three(capsys):
+    code, env, _ = run_json(capsys, "strong-cfs", "C8", "--budget", "0")
+    assert code == 3
+    assert env["verdict"] == "inconclusive" and env["subsets_examined"] == 0
+
+
+def test_negative_budget_exit_two(capsys):
+    code, out, err = run(capsys, "strong-cfs", "C8", "--budget", "-5")
+    assert code == 2
+    assert "budget" in err and out == ""
+
+
+def test_negative_budget_env_variable_exit_two(capsys, monkeypatch):
+    monkeypatch.setenv("SUBSETFACTOR_BUDGET", "-5")
+    code, out, err = run(capsys, "strong-cfs", "C8")
+    assert code == 2
+    assert "budget" in err and out == ""
+
+
 def test_unknown_command_exit_two(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.fixture
+def no_table_builds(monkeypatch):
+    """Make every table builder, and the start of table validation, fail the
+    test if called."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a group table was built")
+
+    for name in ("_np_table", "_cyclic", "_semidirect", "_symmetric", "_alternating",
+                 "_heisenberg", "_direct_product", "close_permutations"):
+        monkeypatch.setattr(groups, name, forbidden)
+
+
+@pytest.mark.parametrize("spec", ["C5000", "S7", "x".join(["C2"] * 10)])
+def test_huge_order_exit_two_without_building(capsys, no_table_builds, spec):
+    code, out, err = run(capsys, "info", spec)
+    assert code == 2
+    assert "512" in err and out == ""
+
+
+def test_huge_table_file_exit_two_without_validation(capsys, no_table_builds, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "table": [[0]] * 513}))
+    code, _, err = run(capsys, "info", f"file:{path}")
+    assert code == 2
+    assert "513" in err
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +134,13 @@ def test_json_deterministic_modulo_elapsed(capsys):
     assert env1 == env2
 
 
-def test_threads_do_not_change_json_verdict(capsys):
+def test_strong_cfs_json_byte_identical_modulo_elapsed(capsys):
     outs = []
-    for th in ("1", "4"):
-        _, env, _ = run_json(capsys, "strong-cfs", "C4xC2", "--threads", th)
-        env.pop("elapsed_ms")
-        outs.append(env)
+    for _ in range(2):
+        code, out, _ = run(capsys, "strong-cfs", "C4xC4", "--json")
+        assert code == 1
+        assert out.count('"elapsed_ms"') == 1
+        outs.append(re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": _', out))
     assert outs[0] == outs[1]
 
 

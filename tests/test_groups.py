@@ -14,6 +14,7 @@ from subsetfactor.groups import (
     all_subgroups,
     automorphisms,
     build_group,
+    close_permutations,
     generated_subgroup,
     left_transversal,
     load_group_file,
@@ -292,6 +293,12 @@ def test_load_rejects_invalid_table(tmp_path):
     path.write_text(json.dumps({"name": "bad", "table": [[0, 1], [1, 1]]}))
     with pytest.raises(ValueError):
         load_group_file(path)
+
+
+def test_permutation_closure_stops_at_order_limit():
+    s7_gens = [tuple(range(1, 7)) + (0,), (1, 0, 2, 3, 4, 5, 6)]
+    with pytest.raises(GroupSpecError, match="512"):
+        close_permutations(s7_gens)
 
 
 def test_validate_accepts_numpy_large_cyclic():
