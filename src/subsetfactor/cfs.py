@@ -357,9 +357,10 @@ def _check_nonfactor_entries() -> CheckItem:
             continue
         count += 1
         g = catalog_group(e.group_spec)
-        a = notation.parse_subset(g, e.words)
-        if len(a) != len(e.words):
-            failures.append(f"{e.display}: word list has repeated elements")
+        try:
+            a = notation.parse_subset(g, e.words)
+        except notation.NotationError as exc:
+            failures.append(f"{e.display}: {exc}")
             continue
         if find_left_complement(g, a) is not None or find_right_complement(g, a) is not None:
             failures.append(f"{e.display}: {e.words} admits a complement")

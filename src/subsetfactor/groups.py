@@ -869,11 +869,13 @@ def automorphisms(group: Group, cap: int = AUTOMORPHISM_ORDER_CAP) -> list[tuple
                 return
             phi[x] = y
             used |= 1 << y
-        for a in range(n):
-            ra = table[a]
-            pa = phi[a]
-            for b in range(n):
-                if phi[ra[b]] != table[pa][phi[b]]:
+        # phi is a bijection; phi(xs) = phi(x)phi(s) for the generators s
+        # alone makes it a homomorphism, as they generate the group.
+        for x in range(n):
+            rx = table[x]
+            rpx = table[phi[x]]
+            for s, ps in zip(gens, images):
+                if phi[rx[s]] != rpx[ps]:
                     return
         found.append(tuple(phi))
 

@@ -166,12 +166,16 @@ def _split_words(text: str) -> list[str]:
 
 
 def parse_subset(group: Group, words: str | Sequence[str]) -> Subset:
-    """Subset from a comma-separated string or a sequence of words."""
+    """Subset from a comma-separated string or a sequence of words; words
+    naming the same element twice raise ``NotationError``."""
     if isinstance(words, str):
         words = _split_words(words)
     mask = 0
     for w in words:
-        mask |= 1 << parse_element_word(group, w)
+        bit = 1 << parse_element_word(group, w)
+        if mask & bit:
+            raise NotationError(f"word {w!r} repeats an element already in the subset")
+        mask |= bit
     return Subset(group.order, mask)
 
 

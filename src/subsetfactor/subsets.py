@@ -143,53 +143,66 @@ def is_lagrange(group: Group, a: Subset) -> bool:
     return group.order % k == 0
 
 
-def _l1_canonical_mask(group: Group, mask: int) -> int:
-    best = None
-    for x in bits(mask):
-        cand = group.left_translate_mask(group.inverse[x], mask)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
-
-
-def _l2_orbit_min(group: Group, mask: int) -> int:
-    """Least mask containing the identity among {gAh, gA'h} (A' = A^-1)."""
-    ident_bit = 1 << group.identity
-    best = None
-    for base in (mask, group.invert_mask(mask)):
-        for g in range(group.order):
-            left = group.left_translate_mask(g, base)
-            for h in range(group.order):
-                cand = group.right_translate_mask(left, h)
-                if cand & ident_bit and (best is None or cand < best):
-                    best = cand
-    assert best is not None
-    return best
+def _identity_stabilizer(group: Group, level: str) -> tuple[tuple[int, ...], ...]:
+    """The maps that fix the identity and keep the symmetry orbits of
+    ``level`` (L2 or L3): the inner automorphisms (L2) or all automorphisms
+    (L3), each also composed with inversion, as element permutations,
+    deduplicated and without the identity map.  Computed on first use and
+    stored on the group instance, as ``cached_property`` stores its values.
+    """
+    key = f"_identity_stabilizer_{level}"
+    cached = group.__dict__.get(key)
+    if cached is not None:
+        return cached
+    if level not in ("L2", "L3"):
+        raise ValueError(f"unknown canonical level {level!r}")
+    n, table, inverse = group.order, group.table, group.inverse
+    if level == "L2":
+        maps = {tuple(table[table[inverse[h]][x]][h] for x in range(n)) for h in range(n)}
+    else:
+        maps = set(automorphisms(group))
+    maps |= {tuple(inverse[y] for y in phi) for phi in maps}
+    maps.discard(tuple(range(n)))
+    cached = group.__dict__[key] = tuple(sorted(maps))
+    return cached
 
 
 def canonical_form(group: Group, a: Subset, level: str = "L1") -> Subset:
-    """Distinguished representative of A's symmetry orbit; contains the
-    identity.
+    """Distinguished representative of A's symmetry orbit: its least member
+    that contains the identity.
 
-    L1: least left-translate a^-1 A (a in A).
-    L2: least two-sided translate of A or A^-1 containing the identity.
-    L3: as L2, minimized additionally over all automorphism images.
+    L1: the orbit under left translation.
+    L2: the orbit {gA^e h} under two-sided translation and inversion.
+    L3: the orbit {g phi(A^e) h}, with phi running over all automorphisms.
+
+    Orbit-stabilizer identity: a map x -> g phi(x^e) h that sends some
+    a in A to the identity is x -> sigma(a^-1 x), where sigma fixes the
+    identity and is an automorphism (inner for L2, the identity for L1),
+    possibly composed with inversion.  So the identity-containing members
+    of the orbit are exactly the sets sigma(a^-1 A), a in A, and only the
+    |A| left translates a^-1 A and their images under that stabilizer are
+    minimized over.
     """
     _check_parent(group, a)
     if not a:
         raise ValueError("canonical_form requires a nonempty subset")
+    mask, inverse = a.mask, group.inverse
+    translates = []
+    best = 1 << group.order  # above every mask
+    for x in bits(mask):
+        t = group.left_translate_mask(inverse[x], mask)
+        translates.append(t)
+        if t < best:
+            best = t
     if level == "L1":
-        return Subset(group.order, _l1_canonical_mask(group, a.mask))
-    if level == "L2":
-        return Subset(group.order, _l2_orbit_min(group, a.mask))
-    if level == "L3":
-        best = None
-        for phi in automorphisms(group):
-            image = mask_of(phi[x] for x in a)
-            cand = _l2_orbit_min(group, image)
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
         return Subset(group.order, best)
-    raise ValueError(f"unknown canonical level {level!r}")
+    stabilizer = _identity_stabilizer(group, level)
+    for t in set(translates):
+        elements = list(bits(t))
+        for sigma in stabilizer:
+            image = 0
+            for x in elements:
+                image |= 1 << sigma[x]
+            if image < best:
+                best = image
+    return Subset(group.order, best)

@@ -6,9 +6,11 @@ import itertools
 
 import pytest
 
+from subsetfactor import cfs
 from subsetfactor.cfs import (
     BudgetExceededError,
     STRONG_CFS_GROUPS,
+    WitnessCatalogEntry,
     catalog_group,
     catalog_metadata,
     cyclic_witness,
@@ -248,6 +250,15 @@ def test_verify_paper_all_green():
     rep = verify_paper()
     assert rep.passed, [i for i in rep.items if not i.passed]
     assert len(rep.items) == 6
+
+
+def test_nonfactor_check_reports_repeated_words(monkeypatch):
+    bad = WitnessCatalogEntry("C4", "C4 (repeated)", ("1", "a^4"), "non_factor", None, "test")
+    entries = witness_catalog() + [bad]
+    monkeypatch.setattr(cfs, "witness_catalog", lambda: entries)
+    item = cfs._check_nonfactor_entries()
+    assert not item.passed
+    assert len(item.failures) == 1 and item.failures[0].startswith("C4 (repeated):")
 
 
 # ---------------------------------------------------------------------------

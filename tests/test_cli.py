@@ -60,6 +60,12 @@ def test_missing_subset_exit_two(capsys):
     assert code == 2
 
 
+def test_repeated_subset_element_exit_two(capsys):
+    code, out, err = run(capsys, "factor", "C4", "--set", "1,1", "--side", "left", "--all")
+    assert code == 2
+    assert not out and "repeats" in err
+
+
 def test_budget_exit_three(capsys):
     code, _, _ = run(capsys, "strong-cfs", "C8", "--budget", "1")
     assert code == 3

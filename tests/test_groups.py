@@ -263,7 +263,19 @@ def test_subgroup_as_group_roundtrip():
 
 @pytest.mark.parametrize(
     "spec,count",
-    [("C4", 2), ("C2xC2", 6), ("C5", 4), ("S3", 6), ("Q8", 24), ("C2xC2xC2", 168)],
+    [
+        ("C4", 2),
+        ("C2xC2", 6),
+        ("C5", 4),
+        ("S3", 6),
+        ("Q8", 24),
+        ("C2xC2xC2", 168),
+        ("D4", 8),
+        ("A4", 24),
+        ("C3xC3", 48),
+        ("Q8xC2", 192),
+        ("C2xC2xC2xC2", 20160),
+    ],
 )
 def test_automorphism_group_sizes(spec, count):
     g = group_from_string(spec)

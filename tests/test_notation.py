@@ -122,6 +122,13 @@ def test_parse_subset_inline_and_sequence():
     assert len(s1) == 2
 
 
+def test_parse_subset_rejects_repeated_elements():
+    g = group_from_string("C4")
+    for words in ("1,1", "1, a, a^5", ["a^2", "a*a"]):
+        with pytest.raises(NotationError):
+            parse_subset(g, words)
+
+
 def test_parse_subset_respects_cycle_commas():
     g = group_from_string("S3")
     s = parse_subset(g, "1, (1,2,3)")

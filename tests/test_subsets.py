@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subsetfactor import subsets
+from subsetfactor.cfs import enumerate_lagrange_subsets
 from subsetfactor.notation import group_from_string, parse_subset
 from subsetfactor.subsets import (
     Subset,
@@ -189,6 +194,87 @@ def test_l3_idempotent_and_below_l2(data):
     c3 = canonical_form(g, a, "L3")
     assert canonical_form(g, c3, "L3").mask == c3.mask
     assert c3.mask <= canonical_form(g, a, "L2").mask
+
+
+ORACLE_GROUPS = ["S3", "C4xC2", "D4", "Q8", "C2xC2xC2"]
+
+
+def _brute_automorphisms(g):
+    """Every bijection fixing the identity that preserves the table."""
+    n = g.order
+    others = [x for x in range(n) if x != g.identity]
+    found = []
+    for images in itertools.permutations(others):
+        phi = [g.identity] * n
+        for x, y in zip(others, images):
+            phi[x] = y
+        if all(phi[g.mul(a, b)] == g.mul(phi[a], phi[b]) for a in range(n) for b in range(n)):
+            found.append(phi)
+    return found
+
+
+@functools.cache
+def _orbit_minima(spec, level):
+    """Each nonempty mask's least identity-containing orbit member, with the
+    orbit {x phi(A^e) y} built directly over all x, y, e = +-1 and phi the
+    identity map (L2) or any automorphism (L3)."""
+    g = group_from_string(spec)
+    n = g.order
+    autos = [list(range(n))] if level == "L2" else _brute_automorphisms(g)
+    maps = {
+        tuple(g.mul(g.mul(x, phi[g.inv(z) if invert else z]), y) for z in range(n))
+        for phi in autos
+        for invert in (False, True)
+        for x in range(n)
+        for y in range(n)
+    }
+    minima = {}
+    for mask in range(1, 1 << n):
+        if mask in minima:
+            continue
+        elements = [z for z in range(n) if mask >> z & 1]
+        orbit = {sum(1 << p[z] for z in elements) for p in maps}
+        least = min(m for m in orbit if m >> g.identity & 1)
+        minima.update(dict.fromkeys(orbit, least))
+    return g, minima
+
+
+@pytest.mark.parametrize("level", ["L2", "L3"])
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_l2_l3_canonical_form_matches_brute_force_orbit(spec, level):
+    g, minima = _orbit_minima(spec, level)
+    for mask in range(1, 1 << g.order):
+        assert canonical_form(g, Subset(g.order, mask), level).mask == minima[mask], mask
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_l3_class_count_matches_brute_force_orbit_count(spec):
+    g, minima = _orbit_minima(spec, "L3")
+    for d in range(1, g.order + 1):
+        if g.order % d:
+            continue
+        want = sorted({m for mask, m in minima.items() if mask.bit_count() == d})
+        reps = [s.mask for s in enumerate_lagrange_subsets(g, d, "L3")]
+        assert len(reps) == len(want), d
+        assert reps == want, d
+
+
+def test_l3_computes_automorphisms_once_per_group(monkeypatch):
+    calls = []
+    real = subsets.automorphisms
+
+    def counting(group, *args, **kwargs):
+        calls.append(group)
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(subsets, "automorphisms", counting)
+    g = group_from_string("C2xC2xC2")
+    list(enumerate_lagrange_subsets(g, 4, "L3"))
+    assert len(calls) == 1 and calls[0] is g
+    h = group_from_string("C2xC2xC2")
+    list(enumerate_lagrange_subsets(h, 4, "L3"))
+    list(enumerate_lagrange_subsets(g, 2, "L3"))
+    assert len(calls) == 2 and calls[1] is h
 
 
 def test_canonical_form_rejects_unknown_level():
