@@ -3,8 +3,12 @@
 A is a left factor of G (G = A . B for some B) exactly when G can be tiled
 by right translates {Ab}; complements are found by exact-cover backtracking
 over those translates, always branching on the least-index uncovered
-element.  Cheap sound criteria (Lagrange obstruction, index-2 scan, hole
-covering, all-translates-meet) run first and double as independently
+element.  The search checks forward: it leaves a branch as soon as some
+uncovered element lies in no translate still disjoint from the partial
+tiling.  That drops only branches without a tiling and keeps the branching
+order, so complements are found in the same order as by plain
+backtracking.  Cheap sound criteria (Lagrange obstruction, index-2 scan,
+hole covering, all-translates-meet) run first and double as independently
 checkable non-factor certificates.
 """
 
@@ -66,35 +70,84 @@ def _tiles(masks: Iterable[int]) -> list[tuple[int, int]]:
 
 def _cover_search(ncells: int, tiles: list[tuple[int, int]], all_solutions: bool) -> list[int]:
     """Exact covers of cells 0..ncells-1 by tiles given in ascending label
-    order, branching on the least uncovered cell.
+    order, branching on the least uncovered cell, with forward checking.
+
+    Tiles are numbered 0..T-1 in label order; ``on_cell[c]`` is the bitmask
+    of the tiles containing cell c, and ``near[c]`` the cells of those
+    tiles.  A node carries ``covered`` and ``live``, the tiles disjoint from
+    ``covered``, and tries the live tiles on the least uncovered cell lowest
+    number first, as plain backtracking does.  A child is entered only if
+    every uncovered cell still has a live tile.  That holds at the root, as
+    every element lies in some translate.  Placing tile i kills the tiles
+    meeting it (``kill[i]``), so only their cells (``watch[i]``) can lose
+    their last live tile, and only those are checked; both are worked out
+    once per search, on first use.  Pruning removes only subtrees that hold
+    no cover and the branching order is unchanged, so covers are found in
+    the same order as without it: the first cover and the set of all covers
+    are the same.
 
     Returns complement masks (OR of chosen labels' bits); just the first
     found unless ``all_solutions``.
     """
     full = (1 << ncells) - 1
-    by_cell: list[list[tuple[int, int]]] = [[] for _ in range(ncells)]
-    for m, b in tiles:
-        for c in bits(m):
-            by_cell[c].append((m, b))
+    masks = [m for m, _ in tiles]
+    on_cell = [0] * ncells
+    near = [0] * ncells
+    # The bit loops below are inlined: in this hot path ``bits()`` costs
+    # more than the search it serves on short searches.
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        rest = m
+        while rest:
+            low = rest & -rest
+            c = low.bit_length() - 1
+            on_cell[c] |= bit
+            near[c] |= m
+            rest ^= low
+    kill: list[int | None] = [None] * len(masks)
+    watch = [0] * len(masks)
 
     solutions: list[int] = []
     chosen: list[int] = []
 
-    def rec(covered: int) -> bool:
+    def rec(covered: int, live: int) -> bool:
         if covered == full:
-            solutions.append(sum(1 << b for b in chosen))
+            solutions.append(sum(1 << tiles[i][1] for i in chosen))
             return not all_solutions
         free = ~covered & full
-        cell = (free & -free).bit_length() - 1
-        for m, b in by_cell[cell]:
-            if not m & covered:
-                chosen.append(b)
-                if rec(covered | m):
+        cand = on_cell[(free & -free).bit_length() - 1] & live
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            k = kill[i]
+            if k is None:
+                k = w = 0
+                rest = masks[i]
+                while rest:
+                    lr = rest & -rest
+                    c = lr.bit_length() - 1
+                    k |= on_cell[c]
+                    w |= near[c]
+                    rest ^= lr
+                kill[i] = k
+                watch[i] = w
+            child_covered = covered | masks[i]
+            child_live = live & ~k
+            w = watch[i] & ~child_covered
+            while w:
+                lw = w & -w
+                if not on_cell[lw.bit_length() - 1] & child_live:
+                    break
+                w ^= lw
+            else:
+                chosen.append(i)
+                if rec(child_covered, child_live):
                     return True
                 chosen.pop()
         return False
 
-    rec(0)
+    rec(0, (1 << len(masks)) - 1)
     return solutions
 
 
@@ -129,9 +182,15 @@ def find_right_complement(group: Group, a: Subset) -> Subset | None:
 
 
 def enumerate_complements(group: Group, a: Subset, side: str = "left") -> list[Subset]:
-    """All complements on the given side, sorted by mask."""
+    """All complements on the given side, one per tiling, sorted by mask.
+
+    Labels with equal translates (Ab = Ab') give the same tiling, so each
+    complement uses the least label of every translate it picks.
+    """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if not a:
+        raise ValueError("enumerate_complements requires a nonempty subset")
     if group.order % len(a):
         return []
     sols = _cover_search(group.order, _tiles(_translates(group, a.mask, side)), True)

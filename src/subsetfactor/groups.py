@@ -22,6 +22,7 @@ import numpy as np
 
 ASSOCIATIVITY_FULL_CHECK_LIMIT = 512  # largest order any group may have
 AUTOMORPHISM_ORDER_CAP = 64
+AUTOMORPHISM_SEARCH_CAP = 10**6  # most generator-image tuples automorphisms() tries
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -828,7 +829,12 @@ def _generating_sequence(group: Group) -> list[int]:
 
 def automorphisms(group: Group, cap: int = AUTOMORPHISM_ORDER_CAP) -> list[tuple[int, ...]]:
     """All automorphisms as permutations of element indices, sorted
-    lexicographically (the identity map comes first)."""
+    lexicographically (the identity map comes first).
+
+    Raises ValueError above order ``cap``, and when the search would try
+    more than AUTOMORPHISM_SEARCH_CAP tuples of generator images (C2^5
+    needs 31^5, about 2.9e7).
+    """
     n = group.order
     if n > cap:
         raise ValueError(f"automorphism computation capped at order {cap}")
@@ -855,6 +861,12 @@ def automorphisms(group: Group, cap: int = AUTOMORPHISM_ORDER_CAP) -> list[tuple
 
     orders = [group.element_order(x) for x in range(n)]
     cands = [[y for y in range(n) if orders[y] == orders[g]] for g in gens]
+    tuples = math.prod(len(c) for c in cands)
+    if tuples > AUTOMORPHISM_SEARCH_CAP:
+        raise ValueError(
+            f"automorphism search needs {tuples} generator-image tuples, "
+            f"over the cap of {AUTOMORPHISM_SEARCH_CAP}"
+        )
 
     table = group.table
     found: list[tuple[int, ...]] = []

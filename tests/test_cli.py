@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subsetfactor
 from subsetfactor import groups
 from subsetfactor.cli import main
 
@@ -120,12 +124,29 @@ def test_huge_order_exit_two_without_building(capsys, no_table_builds, spec):
     assert "512" in err and out == ""
 
 
+def test_l3_automorphism_search_cap_exit_two(capsys):
+    # Order 64 passes the L3 order limit, but Aut(C2^6) is far too large.
+    code, out, err = run(capsys, "lagrange", "x".join(["C2"] * 6), "-d", "2", "--canon", "L3")
+    assert code == 2
+    assert "generator-image tuples" in err and out == ""
+
+
 def test_huge_table_file_exit_two_without_validation(capsys, no_table_builds, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"name": "big", "table": [[0]] * 513}))
     code, _, err = run(capsys, "info", f"file:{path}")
     assert code == 2
     assert "513" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(subsetfactor.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "subsetfactor", "catalog"],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "C3xC3" in done.stdout
 
 
 # ---------------------------------------------------------------------------

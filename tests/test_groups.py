@@ -286,6 +286,14 @@ def test_automorphism_group_sizes(spec, count):
         assert sorted(phi) == list(range(g.order))
 
 
+def test_automorphism_search_cap():
+    # C4xC4xC4 tries 1.76e5 generator-image tuples, under the cap.
+    assert len(automorphisms(group_from_string("C4xC4xC4"))) == 86016
+    # C2^5 would try 31^5, about 2.9e7: refused before the search starts.
+    with pytest.raises(ValueError, match="generator-image tuples"):
+        automorphisms(group_from_string("C2xC2xC2xC2xC2"))
+
+
 # ---------------------------------------------------------------------------
 # File round trip
 
