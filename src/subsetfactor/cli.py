@@ -8,6 +8,7 @@ error; 3 = classification budget exceeded (inconclusive).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -295,6 +296,8 @@ def _cmd_ball(args: argparse.Namespace) -> int:
 def _cmd_tilde(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     g = _load_group(args)
+    if args.size < 1 or g.order % args.size:
+        raise ValueError(f"{args.size} is not a divisor of the group order {g.order}")
     gens = _gens_for(args, g)
     a_tilde = geometry.construct_tilde(g, gens, args.size)
     if a_tilde is None:
@@ -461,10 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

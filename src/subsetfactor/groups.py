@@ -13,14 +13,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
-ASSOCIATIVITY_FULL_CHECK_LIMIT = 512  # largest order any group may have
+ORDER_LIMIT = 512  # largest order any group may have
 AUTOMORPHISM_ORDER_CAP = 64
 AUTOMORPHISM_SEARCH_CAP = 10**6  # most generator-image tuples automorphisms() tries
 
@@ -73,10 +72,12 @@ class Group:
         return self.inverse[a]
 
     def power(self, x: int, e: int) -> int:
+        """x^e, with e taken modulo the order of x, so a huge e costs no
+        more than a small one."""
         if e < 0:
             x, e = self.inverse[x], -e
         acc = self.identity
-        for _ in range(e):
+        for _ in range(e % self.element_order(x)):
             acc = self.table[acc][x]
         return acc
 
@@ -165,130 +166,69 @@ class Group:
 
 
 # ---------------------------------------------------------------------------
-# Specifications
-
-
-class GroupSpec:
-    """Base class for group construction specifications."""
-
-
-@dataclass(frozen=True)
-class Cyclic(GroupSpec):
-    n: int
-
-
-@dataclass(frozen=True)
-class DirectProduct(GroupSpec):
-    left: GroupSpec
-    right: GroupSpec
-
-
-@dataclass(frozen=True)
-class Dihedral(GroupSpec):
-    m: int  # order 2m
-
-
-@dataclass(frozen=True)
-class Quaternion8(GroupSpec):
-    pass
-
-
-@dataclass(frozen=True)
-class Symmetric(GroupSpec):
-    k: int
-
-
-@dataclass(frozen=True)
-class Alternating(GroupSpec):
-    k: int
-
-
-@dataclass(frozen=True)
-class SemidirectCyclic(GroupSpec):
-    m: int
-    k: int
-    t: int
-
-
-@dataclass(frozen=True)
-class Heisenberg(GroupSpec):
-    p: int
-
-
-@dataclass(frozen=True)
-class FromTable(GroupSpec):
-    path: str
-
-
-@dataclass(frozen=True)
-class FromPermutations(GroupSpec):
-    perms: tuple[tuple[int, ...], ...]  # image tuples, 0-based
-
-
-def spec_string(spec: GroupSpec) -> str:
-    if isinstance(spec, Cyclic):
-        return f"C{spec.n}"
-    if isinstance(spec, DirectProduct):
-        return f"{spec_string(spec.left)}x{spec_string(spec.right)}"
-    if isinstance(spec, Dihedral):
-        return f"D{spec.m}"
-    if isinstance(spec, Quaternion8):
-        return "Q8"
-    if isinstance(spec, Symmetric):
-        return f"S{spec.k}"
-    if isinstance(spec, Alternating):
-        return f"A{spec.k}"
-    if isinstance(spec, SemidirectCyclic):
-        return f"sd({spec.m},{spec.k},{spec.t})"
-    if isinstance(spec, Heisenberg):
-        return f"Heis{spec.p}"
-    if isinstance(spec, FromTable):
-        return f"file:{spec.path}"
-    if isinstance(spec, FromPermutations):
-        cyc = ";".join(cycles_string(p) for p in spec.perms)
-        return f"perm:[{cyc}]"
-    raise GroupSpecError(f"unknown spec {spec!r}")
-
-
-# ---------------------------------------------------------------------------
 # Table validation
 
 
-def _np_table(table) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise GroupValidationError(f"table is not square: shape {arr.shape}")
-    n = arr.shape[0]
+def _check_order(n: int) -> None:
+    """Refuse a group of order n above ORDER_LIMIT; called before a table of
+    that order is built or validated."""
+    if n > ORDER_LIMIT:
+        raise GroupSpecError(f"group order {n} exceeds the limit of {ORDER_LIMIT}")
+
+
+def _index_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The table as a square of Python ints in 0..n-1: the first step of
+    validation.  Integer types such as numpy's are accepted; floats and
+    strings are not."""
+    n = len(table)
     if n == 0:
         raise GroupValidationError("empty table")
-    if arr.min() < 0 or arr.max() >= n:
+    try:
+        rows = tuple(tuple(map(operator.index, row)) for row in table)
+    except TypeError as exc:
+        raise GroupValidationError(f"table is not a square of integers: {exc}") from None
+    if any(len(row) != n for row in rows):
+        raise GroupValidationError("table is not square")
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
         raise GroupValidationError("table entries out of range 0..n-1")
-    return arr
+    return rows
 
 
-def _check_order(n: int) -> None:
-    """Refuse a group of order n above ASSOCIATIVITY_FULL_CHECK_LIMIT; called
-    before a table of that order is built or validated."""
-    if n > ASSOCIATIVITY_FULL_CHECK_LIMIT:
-        raise GroupSpecError(
-            f"group order {n} exceeds the limit of {ASSOCIATIVITY_FULL_CHECK_LIMIT}"
-        )
+def _generating_sequence(table: Sequence[Sequence[int]], identity: int) -> list[int]:
+    """Greedy generators: each element in turn that is not yet reached from
+    the identity by right multiplication by the earlier generators."""
+    n = len(table)
+    gens: list[int] = []
+    seen = [False] * n
+    seen[identity] = True
+    reached = [identity]
+    for x in range(n):
+        if seen[x]:
+            continue
+        gens.append(x)
+        for r in reached:  # the loop also visits the elements appended below
+            row = table[r]
+            for g in gens:
+                y = row[g]
+                if not seen[y]:
+                    seen[y] = True
+                    reached.append(y)
+    return gens
 
 
-def _check_associativity(arr: np.ndarray) -> None:
-    """(i*j)*k vs i*(j*k) on every triple, chunked over i to bound memory."""
-    n = arr.shape[0]
-    step = max(1, (1 << 24) // (n * n))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        left = arr[arr[start:stop], :]          # [i, j, k] -> arr[arr[i,j], k]
-        right = arr[start:stop][:, arr]         # [i, j, k] -> arr[i, arr[j,k]]
-        if not np.array_equal(left, right):
-            bad = np.argwhere(left != right)[0]
-            i, j, k = int(bad[0]) + start, int(bad[1]), int(bad[2])
-            raise GroupValidationError(
-                f"associativity fails at triple ({i}, {j}, {k})"
-            )
+def _light_test(rows: tuple[tuple[int, ...], ...], identity: int) -> None:
+    """Light's associativity test: (x*s)*y = x*(s*y) for all x, y and every s
+    of a generating sequence.  It is exact: the elements s that pass form a
+    set closed under products, and every element is a product of the
+    generators, so every element passes."""
+    for s in _generating_sequence(rows, identity):
+        row_s = rows[s]
+        times_s = operator.itemgetter(*row_s)  # row of x -> (x*(s*y) for all y)
+        for x, row in enumerate(rows):
+            row_xs = rows[row[s]]
+            if row_xs != times_s(row):
+                y = next(y for y, v in enumerate(row_xs) if v != row[row_s[y]])
+                raise GroupValidationError(f"associativity fails at triple ({x}, {s}, {y})")
 
 
 def validate_table(
@@ -299,40 +239,32 @@ def validate_table(
 ) -> Group:
     """Check the group axioms on an index table and wrap it as a Group.
 
-    Raises GroupValidationError naming the first violation found, and
+    The Latin square, the identity and the inverses are checked in O(n^2),
+    associativity by Light's test in O(n^2 k) for k generators.  Raises
+    GroupValidationError naming the first violation found, and
     GroupSpecError for a table above the order limit.
     """
     _check_order(len(table))
-    arr = _np_table(table)
-    n = arr.shape[0]
-    rng_row = np.arange(n)
+    rows = _index_rows(table)
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(set(row)) != n:
+            raise GroupValidationError(f"row {i} is not a permutation of 0..n-1")
+    cols = list(zip(*rows))
+    for j, col in enumerate(cols):
+        if len(set(col)) != n:
+            raise GroupValidationError(f"column {j} is not a permutation of 0..n-1")
 
-    sorted_rows = np.sort(arr, axis=1)
-    if not np.array_equal(sorted_rows, np.tile(rng_row, (n, 1))):
-        bad = int(np.argwhere((sorted_rows != rng_row).any(axis=1))[0][0])
-        raise GroupValidationError(f"row {bad} is not a permutation of 0..n-1")
-    sorted_cols = np.sort(arr, axis=0)
-    if not np.array_equal(sorted_cols, np.tile(rng_row.reshape(n, 1), (1, n))):
-        bad = int(np.argwhere((sorted_cols != rng_row.reshape(n, 1)).any(axis=0))[0][0])
-        raise GroupValidationError(f"column {bad} is not a permutation of 0..n-1")
-
-    identity = -1
-    for e in range(n):
-        if np.array_equal(arr[e], rng_row) and np.array_equal(arr[:, e], rng_row):
-            identity = e
-            break
+    ident = tuple(range(n))
+    identity = next((e for e in range(n) if rows[e] == ident and cols[e] == ident), -1)
     if identity < 0:
         raise GroupValidationError("no two-sided identity element")
-
-    inverse = [-1] * n
-    for i in range(n):
-        js = np.flatnonzero(arr[i] == identity)
-        j = int(js[0])
-        if arr[j][i] != identity:
+    inverse = tuple(row.index(identity) for row in rows)
+    for i, j in enumerate(inverse):
+        if rows[j][i] != identity:
             raise GroupValidationError(f"element {i} has no two-sided inverse")
-        inverse[i] = j
 
-    _check_associativity(arr)
+    _light_test(rows, identity)
 
     names = tuple(element_names) if element_names else tuple(f"x{i}" for i in range(n))
     if len(names) != n:
@@ -343,9 +275,9 @@ def validate_table(
     return Group(
         name=name,
         order=n,
-        table=tuple(tuple(int(v) for v in row) for row in arr),
+        table=rows,
         identity=identity,
-        inverse=tuple(inverse),
+        inverse=inverse,
         element_names=names,
         generator_names=dict(generator_names or {}),
     )
@@ -455,13 +387,14 @@ def _cyclic(n: int) -> Group:
     return validate_table(table, names, f"C{n}", gens)
 
 
-def _semidirect(m: int, k: int, t: int, name: str) -> Group:
+def _semidirect(m: int, k: int, t: int, name: str | None = None) -> Group:
     """Pairs (i, j) standing for a^i * b^j, i mod m, j mod k, with
     b^-1 a b = a^t.
 
     Multiplication: (i, j) * (i', j') = (i + i' * t^(-j), j + j'),
     since b^j a b^(-j) = a^(t^(-j)).
     """
+    name = name or f"sd({m},{k},{t})"
     if m < 1 or k < 1:
         raise GroupSpecError("semidirect parameters must be positive")
     t %= max(m, 1)
@@ -496,6 +429,12 @@ def _semidirect(m: int, k: int, t: int, name: str) -> Group:
     if k > 1:
         gens["b"] = idx(0, 1)
     return validate_table(table, names, name, gens)
+
+
+def _dihedral(m: int) -> Group:
+    if m < 1:
+        raise GroupSpecError("dihedral parameter must be positive")
+    return _semidirect(m, 2, m - 1, f"D{m}")
 
 
 def _heisenberg(p: int) -> Group:
@@ -656,63 +595,87 @@ def save_group_file(group: Group, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
+# ---------------------------------------------------------------------------
+# Specifications
+
+
+@dataclass(frozen=True)
+class GroupSpec:
+    """A group to build: a family of FAMILIES and its parameters, e.g.
+    GroupSpec("sd", (7, 3, 2)).  The parameters of ``x`` are two specs, of
+    ``file`` a path and of ``perm`` a tuple of 0-based image tuples."""
+
+    family: str
+    params: tuple = ()
+
+
+def _sym_order(k: int) -> int:
+    """|S_k|, with k taken as 20 at most: already far above the order limit,
+    and a huge k then costs no huge factorial."""
+    return math.factorial(min(max(k, 1), 20))
+
+
+def _product_order(left: GroupSpec, right: GroupSpec) -> int | None:
+    a, b = _spec_order(left), _spec_order(right)
+    return None if a is None or b is None else a * b
+
+
+def _product(left: GroupSpec, right: GroupSpec) -> Group:
+    return _direct_product(build_group(left), build_group(right))
+
+
+# family: (spec-string template, order from the parameters or None when only
+# the contents tell it, builder).  notation reads its atom grammar from the
+# templates of the families with integer parameters.
+FAMILIES: dict[str, tuple[str, Callable[..., int | None] | None, Callable[..., Group]]] = {
+    "C": ("C{}", lambda n: n, _cyclic),
+    "D": ("D{}", lambda m: 2 * m, _dihedral),
+    "Q8": ("Q8", lambda: 8, _quaternion8),
+    "S": ("S{}", _sym_order, _symmetric),
+    "A": ("A{}", lambda k: max(_sym_order(k) // 2, 1), _alternating),
+    "sd": ("sd({},{},{})", lambda m, k, t: m * k, _semidirect),
+    "Heis": ("Heis{}", lambda p: p**3, _heisenberg),
+    "x": ("{}x{}", _product_order, _product),
+    "file": ("file:{}", None, load_group_file),
+    "perm": ("perm:[{}]", None, close_permutations),
+}
+
+
+def _family(spec: GroupSpec) -> tuple[str, Any, Callable[..., Group]]:
+    try:
+        return FAMILIES[spec.family]
+    except KeyError:
+        raise GroupSpecError(f"unknown group family {spec.family!r}") from None
+
+
+def _param_string(p: Any) -> str:
+    if isinstance(p, GroupSpec):
+        return spec_string(p)
+    if isinstance(p, tuple):  # the permutations of a perm: spec
+        return ";".join(map(cycles_string, p))
+    return str(p)
+
+
+def spec_string(spec: GroupSpec) -> str:
+    """The spec string of ``spec``, as notation.parse_group_spec reads it."""
+    return _family(spec)[0].format(*map(_param_string, spec.params))
+
+
 def _spec_order(spec: GroupSpec) -> int | None:
     """The order of the group ``spec`` describes, computed without building
-    it; None for file and permutation specs, whose order is known only from
-    their contents.  S<k> and A<k> for k > 20 are sized as at k = 20, which
-    is already far above any order a table can have, so that a huge k costs
-    no huge factorial."""
-    if isinstance(spec, Cyclic):
-        return spec.n
-    if isinstance(spec, DirectProduct):
-        left, right = _spec_order(spec.left), _spec_order(spec.right)
-        return None if left is None or right is None else left * right
-    if isinstance(spec, Dihedral):
-        return 2 * spec.m
-    if isinstance(spec, Quaternion8):
-        return 8
-    if isinstance(spec, (Symmetric, Alternating)):
-        full = math.factorial(min(max(spec.k, 1), 20))
-        return full if isinstance(spec, Symmetric) else max(full // 2, 1)
-    if isinstance(spec, SemidirectCyclic):
-        return spec.m * spec.k
-    if isinstance(spec, Heisenberg):
-        return spec.p**3
-    return None
+    it; None for file and permutation specs."""
+    order = _family(spec)[1]
+    return None if order is None else order(*spec.params)
 
 
 def build_group(spec: GroupSpec) -> Group:
     """Construct and validate the group described by ``spec``.  A group of
-    more than ASSOCIATIVITY_FULL_CHECK_LIMIT elements is refused with
-    GroupSpecError before its table is built."""
+    more than ORDER_LIMIT elements is refused with GroupSpecError before
+    its table is built."""
     order = _spec_order(spec)
-    if order is not None and order > ASSOCIATIVITY_FULL_CHECK_LIMIT:
-        raise GroupSpecError(
-            f"{spec_string(spec)} has more than {ASSOCIATIVITY_FULL_CHECK_LIMIT} elements"
-        )
-    if isinstance(spec, Cyclic):
-        return _cyclic(spec.n)
-    if isinstance(spec, DirectProduct):
-        return _direct_product(build_group(spec.left), build_group(spec.right))
-    if isinstance(spec, Dihedral):
-        if spec.m < 1:
-            raise GroupSpecError("dihedral parameter must be positive")
-        return _semidirect(spec.m, 2, spec.m - 1, f"D{spec.m}")
-    if isinstance(spec, Quaternion8):
-        return _quaternion8()
-    if isinstance(spec, Symmetric):
-        return _symmetric(spec.k)
-    if isinstance(spec, Alternating):
-        return _alternating(spec.k)
-    if isinstance(spec, SemidirectCyclic):
-        return _semidirect(spec.m, spec.k, spec.t, f"sd({spec.m},{spec.k},{spec.t})")
-    if isinstance(spec, Heisenberg):
-        return _heisenberg(spec.p)
-    if isinstance(spec, FromTable):
-        return load_group_file(spec.path)
-    if isinstance(spec, FromPermutations):
-        return close_permutations(list(spec.perms))
-    raise GroupSpecError(f"unknown spec {spec!r}")
+    if order is not None and order > ORDER_LIMIT:
+        raise GroupSpecError(f"{spec_string(spec)} has more than {ORDER_LIMIT} elements")
+    return _family(spec)[2](*spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -817,16 +780,6 @@ def all_subgroups(group: Group) -> list[Subgroup]:
 # Automorphisms
 
 
-def _generating_sequence(group: Group) -> list[int]:
-    gens: list[int] = []
-    reach = 1 << group.identity
-    for x in range(group.order):
-        if not reach & (1 << x):
-            gens.append(x)
-            reach = group.closure_mask(reach | (1 << x))
-    return gens
-
-
 def automorphisms(group: Group, cap: int = AUTOMORPHISM_ORDER_CAP) -> list[tuple[int, ...]]:
     """All automorphisms as permutations of element indices, sorted
     lexicographically (the identity map comes first).
@@ -838,7 +791,7 @@ def automorphisms(group: Group, cap: int = AUTOMORPHISM_ORDER_CAP) -> list[tuple
     n = group.order
     if n > cap:
         raise ValueError(f"automorphism computation capped at order {cap}")
-    gens = _generating_sequence(group)
+    gens = _generating_sequence(group.table, group.identity)
     if not gens:
         return [tuple(range(n))]
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import groups
-from .groups import Group, GroupSpec, GroupSpecError
+from .groups import FAMILIES, Group, GroupSpec
 from .subsets import Subset
 
 
@@ -29,17 +29,12 @@ class NotationError(ValueError):
     """Malformed spec string, word, or subset file."""
 
 
-_ATOM_RES: list[tuple[re.Pattern[str], Any]] = [
-    (re.compile(r"c(\d+)$"), lambda m: groups.Cyclic(int(m.group(1)))),
-    (re.compile(r"d(\d+)$"), lambda m: groups.Dihedral(int(m.group(1)))),
-    (re.compile(r"q8$"), lambda m: groups.Quaternion8()),
-    (re.compile(r"s(\d+)$"), lambda m: groups.Symmetric(int(m.group(1)))),
-    (re.compile(r"a(\d+)$"), lambda m: groups.Alternating(int(m.group(1)))),
-    (re.compile(r"heis(\d+)$"), lambda m: groups.Heisenberg(int(m.group(1)))),
-    (
-        re.compile(r"sd\((\d+),(\d+),(\d+)\)$"),
-        lambda m: groups.SemidirectCyclic(int(m.group(1)), int(m.group(2)), int(m.group(3))),
-    ),
+# One pattern per family with integer parameters, read from its spec-string
+# template: C{} -> c(\d+), sd({},{},{}) -> sd\((\d+),(\d+),(\d+)\).
+_ATOM_RES: list[tuple[re.Pattern[str], str]] = [
+    (re.compile(re.escape(form.lower()).replace(r"\{\}", r"(\d+)") + "$"), family)
+    for family, (form, _, _) in FAMILIES.items()
+    if family not in ("x", "file", "perm")
 ]
 
 
@@ -86,7 +81,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         raise NotationError("empty group spec")
     low = s.lower()
     if low.startswith("file:"):
-        return groups.FromTable(s[5:].strip())
+        return GroupSpec("file", (s[5:].strip(),))
     if low.startswith("perm:"):
         body = s[5:].strip()
         if not (body.startswith("[") and body.endswith("]")):
@@ -100,7 +95,7 @@ def parse_group_spec(text: str) -> GroupSpec:
                 npoints = max(npoints, *cyc)
         npoints = max(npoints, 1)
         perms = tuple(groups.perm_from_cycles(c, npoints) for c in parsed)
-        return groups.FromPermutations(perms)
+        return GroupSpec("perm", (perms,))
 
     atoms = _split_top_level(low, "x")
     specs = []
@@ -109,20 +104,17 @@ def parse_group_spec(text: str) -> GroupSpec:
         a = atom.strip()
         if not a:
             raise NotationError(f"empty factor at position {pos} in {text!r}")
-        for pat, make in _ATOM_RES:
+        for pat, family in _ATOM_RES:
             m = pat.match(a)
             if m:
-                try:
-                    specs.append(make(m))
-                except GroupSpecError as exc:
-                    raise NotationError(f"invalid parameters in {a!r}: {exc}") from exc
+                specs.append(GroupSpec(family, tuple(map(int, m.groups()))))
                 break
         else:
             raise NotationError(f"unrecognized group atom {a!r} at position {pos}")
         pos += len(atom) + 1
     spec = specs[0]
     for nxt in specs[1:]:
-        spec = groups.DirectProduct(spec, nxt)
+        spec = GroupSpec("x", (spec, nxt))
     return spec
 
 

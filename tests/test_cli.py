@@ -106,14 +106,16 @@ def test_unknown_command_exit_two(capsys):
 
 @pytest.fixture
 def no_table_builds(monkeypatch):
-    """Make every table builder, and the start of table validation, fail the
-    test if called."""
+    """Make every table builder (each family's but the file reader's), and
+    the start of table validation, fail the test if called."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a group table was built")
 
-    for name in ("_np_table", "_cyclic", "_semidirect", "_symmetric", "_alternating",
-                 "_heisenberg", "_direct_product", "close_permutations"):
+    for family, (form, order, _) in groups.FAMILIES.items():
+        if family != "file":
+            monkeypatch.setitem(groups.FAMILIES, family, (form, order, forbidden))
+    for name in ("_index_rows", "_direct_product", "close_permutations"):
         monkeypatch.setattr(groups, name, forbidden)
 
 
@@ -139,6 +141,38 @@ def test_huge_table_file_exit_two_without_validation(capsys, no_table_builds, tm
     assert "513" in err
 
 
+@pytest.mark.parametrize("table", [[[0, 1.7], [1, 0]], [["0", "1"], ["1", "0"]]])
+def test_non_integer_table_file_exit_two(capsys, tmp_path, table):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "table": table}))
+    code, out, err = run(capsys, "info", f"file:{path}")
+    assert code == 2
+    assert "integers" in err and out == ""
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    from subsetfactor import cli
+
+    build, calls = cli.build_parser, []
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        outs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, "strong-cfs", "C4", "--json")
+            assert code == 0
+            outs.append(re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": _', out))
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+    assert outs[0] == outs[1]
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(subsetfactor.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -147,6 +181,13 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "C3xC3" in done.stdout
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(subsetfactor.__file__).resolve().parents[1])
+    code = "import sys, subsetfactor; sys.exit('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +279,19 @@ def test_tilde_command(capsys):
 def test_tilde_inapplicable(capsys):
     code, env, _ = run_json(capsys, "tilde", "C5xC5", "-d", "5")
     assert code == 1 and env["verdict"] == "inapplicable"
+
+
+def test_tilde_order_as_size_inapplicable(capsys):
+    code, env, _ = run_json(capsys, "tilde", "C4", "-d", "4")
+    assert code == 1 and env["verdict"] == "inapplicable"
+
+
+@pytest.mark.parametrize("size", ["0", "3"])
+def test_tilde_non_divisor_exit_two_like_lagrange(capsys, size):
+    code, out, err = run(capsys, "tilde", "C4", "-d", size)
+    assert code == 2 and out == ""
+    assert (2, "", err) == run(capsys, "lagrange", "C4", "-d", size)
+    assert f"{size} is not a divisor" in err
 
 
 def test_verify_paper_command(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from subsetfactor.groups import (
     SMALL_GROUP_CATALOG,
     Group,
+    GroupSpec,
     GroupSpecError,
+    GroupValidationError,
     all_subgroups,
     automorphisms,
     build_group,
@@ -123,12 +126,10 @@ def test_semidirect_names_match_multiplication():
 
 
 def test_semidirect_rejects_bad_parameters():
-    from subsetfactor.groups import SemidirectCyclic
-
     with pytest.raises(GroupSpecError):
-        build_group(SemidirectCyclic(6, 2, 2))  # gcd(t, m) != 1
+        build_group(GroupSpec("sd", (6, 2, 2)))  # gcd(t, m) != 1
     with pytest.raises(GroupSpecError):
-        build_group(SemidirectCyclic(7, 3, 3))  # t^k != 1 mod m
+        build_group(GroupSpec("sd", (7, 3, 3)))  # t^k != 1 mod m
 
 
 def test_quaternion_relations():
@@ -322,6 +323,96 @@ def test_permutation_closure_stops_at_order_limit():
 
 
 def test_validate_accepts_numpy_large_cyclic():
-    # exercises the chunked associativity path on a bigger table
+    # numpy integers are accepted as table entries, and come back as ints
     g = group_from_string("C64")
-    validate_table(np.array(g.table))
+    assert validate_table(np.array(g.table)).table == g.table
+
+
+@pytest.mark.parametrize("table", [[[0, 1.7], [1, 0]], [["0", "1"], ["1", "0"]], [[0.0, 1.0], [1.0, 0.0]]])
+def test_validate_rejects_non_integer_entries(table):
+    with pytest.raises(GroupValidationError):
+        validate_table(table)
+
+
+def test_power_reduces_huge_exponents():
+    g = group_from_string("C4")
+    a = parse_element_word(g, "a")
+    assert parse_element_word(g, "a^99999999999999") == g.power(a, 3)
+    assert parse_element_word(g, "a^-99999999999999") == a
+    assert g.power(a, -1) == g.power(a, 3) and g.power(a, 0) == g.identity
+
+
+# ---------------------------------------------------------------------------
+# Validation against a brute-force check of every triple
+
+
+def brute_is_group(t) -> bool:
+    """The group axioms checked directly: a Latin square with a two-sided
+    identity, two-sided inverses, and (xy)z = x(yz) on every triple."""
+    n = len(t)
+    full = set(range(n))
+    if any(set(row) != full for row in t) or any(set(col) != full for col in zip(*t)):
+        return False
+    ids = [e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))]
+    if not ids:
+        return False
+    e = ids[0]
+    if not all(any(t[x][y] == e == t[y][x] for y in range(n)) for x in range(n)):
+        return False
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in range(n) for y in range(n) for z in range(n))
+
+
+def validates(t) -> bool:
+    try:
+        validate_table(t)
+    except GroupValidationError:
+        return False
+    return True
+
+
+def reduced_latin_squares(n: int):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+
+    def fill(square: list[list[int]], row: list[int]):
+        if len(row) == n:
+            square = square + [row]
+            if len(square) == n:
+                yield [tuple(r) for r in square]
+            else:
+                yield from fill(square, [len(square)])
+            return
+        c = len(row)
+        for v in range(n):
+            if v not in row and all(r[c] != v for r in square):
+                yield from fill(square, row + [v])
+
+    yield from fill([list(range(n))], [1])
+
+
+@pytest.mark.parametrize("n,squares,groups", [(4, 4, 4), (5, 56, 6)])
+def test_light_test_matches_brute_force_on_all_small_latin_squares(n, squares, groups):
+    found = list(reduced_latin_squares(n))
+    assert len(found) == squares
+    verdicts = [brute_is_group(t) for t in found]
+    assert sum(verdicts) == groups
+    assert [validates(t) for t in found] == verdicts
+
+
+def test_light_test_matches_brute_force_on_order_6_sample():
+    found = list(reduced_latin_squares(6))
+    assert len(found) == 9408
+    for t in random.Random(6).sample(found, 300):
+        assert validates(t) == brute_is_group(t)
+
+
+@pytest.mark.parametrize(
+    "spec", ["C6", "D5", "Q8", "S3", "A4", "sd(7,3,2)", "Heis3", "C2xS3", "perm:[(1,2,3,4);(1,2)]"]
+)
+def test_family_tables_pass_brute_force(spec):
+    assert brute_is_group(group_from_string(spec).table)
+
+
+def test_file_table_passes_brute_force(tmp_path):
+    path = tmp_path / "d4.json"
+    save_group_file(group_from_string("D4"), path)
+    assert brute_is_group(group_from_string(f"file:{path}").table)

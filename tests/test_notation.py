@@ -164,3 +164,14 @@ def test_parse_group_spec_roundtrip_examples():
     g = group_from_string("C4xC2")
     assert g.order == 8
     assert spec is not None
+
+
+@pytest.mark.parametrize(
+    "text", ["C4", "D7", "Q8", "S4", "A5", "sd(7,3,2)", "Heis3", "C2xC3xD4", "perm:[(1,2,3);(1,2)]", "file:g.json"]
+)
+def test_spec_string_reads_back(text):
+    from subsetfactor.groups import spec_string
+
+    spec = parse_group_spec(text)
+    assert spec_string(spec) == text
+    assert parse_group_spec(spec_string(spec)) == spec
