@@ -178,7 +178,7 @@ def _subgroup_of_order(subs: list[Subgroup], d: int) -> Subgroup | None:
     return None
 
 
-def decide_cfs(group: Group, order_cap: int = DEFAULT_CFS_ORDER_CAP, group_name: str | None = None) -> CfsReport:
+def decide_cfs(group: Group, group_name: str | None = None) -> CfsReport:
     """For every divisor d of |G|, exhibit a verified left factor and a
     verified right factor of size d.
 
@@ -186,8 +186,8 @@ def decide_cfs(group: Group, order_cap: int = DEFAULT_CFS_ORDER_CAP, group_name:
     order |G|/d; canonical search over size-d subsets.
     """
     n = group.order
-    if n > order_cap:
-        raise ValueError(f"decide_cfs capped at order {order_cap}")
+    if n > DEFAULT_CFS_ORDER_CAP:
+        raise ValueError(f"decide_cfs capped at order {DEFAULT_CFS_ORDER_CAP}")
     subs = all_subgroups(group)
     per: dict[int, DivisorFactors] = {}
 

@@ -780,17 +780,17 @@ def all_subgroups(group: Group) -> list[Subgroup]:
 # Automorphisms
 
 
-def automorphisms(group: Group, cap: int = AUTOMORPHISM_ORDER_CAP) -> list[tuple[int, ...]]:
+def automorphisms(group: Group) -> list[tuple[int, ...]]:
     """All automorphisms as permutations of element indices, sorted
     lexicographically (the identity map comes first).
 
-    Raises ValueError above order ``cap``, and when the search would try
-    more than AUTOMORPHISM_SEARCH_CAP tuples of generator images (C2^5
-    needs 31^5, about 2.9e7).
+    Raises ValueError above order AUTOMORPHISM_ORDER_CAP, and when the
+    search would try more than AUTOMORPHISM_SEARCH_CAP tuples of generator
+    images (C2^5 needs 31^5, about 2.9e7).
     """
     n = group.order
-    if n > cap:
-        raise ValueError(f"automorphism computation capped at order {cap}")
+    if n > AUTOMORPHISM_ORDER_CAP:
+        raise ValueError(f"automorphism computation capped at order {AUTOMORPHISM_ORDER_CAP}")
     gens = _generating_sequence(group.table, group.identity)
     if not gens:
         return [tuple(range(n))]

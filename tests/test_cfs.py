@@ -170,7 +170,7 @@ def test_cfs_holds_on_assorted_groups():
 
 def test_cfs_order_cap():
     with pytest.raises(ValueError):
-        decide_cfs(group_from_string("C12xC11xC2"), order_cap=200)
+        decide_cfs(group_from_string("C12xC11xC2"))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,31 @@ def test_repeated_subset_element_exit_two(capsys):
     assert not out and "repeats" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("factor", "Q8", "--set", "-j,-k", "--side", "left"),
+    ("factor", "Q8", "--set", "-1,i", "--json"),
+    ("same-complement", "Q8", "--set", "-i"),
+    ("ball", "Q8", "--gens", "-i,j"),
+    ("tilde", "Q8", "-d", "2", "--gens", "-i,-j", "--json"),
+])
+def test_spaced_value_starting_with_dash_reads_like_equals_form(capsys, argv):
+    i = argv.index("--set" if "--set" in argv else "--gens")
+    joined = argv[:i] + (f"{argv[i]}={argv[i + 1]}",) + argv[i + 2:]
+    replies = []
+    for form in (argv, joined):
+        code, out, err = run(capsys, *form)
+        replies.append((code, re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": _', out), err))
+    assert replies[0][0] in (0, 1) and replies[0][1]
+    assert replies[0] == replies[1]
+
+
+@pytest.mark.parametrize("side", [(), ("--side", "both"), ("--side", "same")])
+def test_all_without_left_or_right_exit_two(capsys, side):
+    code, out, err = run(capsys, "factor", "C4", "--set", "1", *side, "--all")
+    assert code == 2 and out == ""
+    assert "--all needs --side left or --side right" in err
+
+
 def test_budget_exit_three(capsys):
     code, _, _ = run(capsys, "strong-cfs", "C8", "--budget", "1")
     assert code == 3

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from subsetfactor.groups import GroupSpecError
 from subsetfactor.notation import (
     NotationError,
     format_subset,
@@ -54,7 +55,7 @@ def test_product_is_left_associative_composition():
 
 @pytest.mark.parametrize("bad", ["", "C", "C0", "Cx", "D1x", "sd(6,2,2)", "Zpq", "S"])
 def test_grammar_rejects_garbage(bad):
-    with pytest.raises((NotationError, Exception)):
+    with pytest.raises((NotationError, GroupSpecError)):
         group_from_string(bad)
 
 
